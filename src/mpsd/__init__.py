@@ -7,6 +7,25 @@ and discretized Fourier multipliers with positivity probes, norm bounds, and
 counterexample experiments.
 """
 
+import os
+
+
+def _cap_threads() -> None:
+    """MPSD_THREADS caps internal parallelism (BLAS/FFT worker pools).
+
+    The pools read these variables once, when numpy is first imported, so this
+    runs before any submodule loads numpy. Explicitly set variables win.
+    """
+    cap = os.environ.get("MPSD_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_cap_threads()
+
+# The submodules import numpy, so they are imported only after the cap.
 from .matcore import (
     InputError,
     NormKind,

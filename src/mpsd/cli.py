@@ -23,15 +23,6 @@ EXIT_INPUT_ERROR = 2
 COUNTEREXAMPLE_COMMANDS = {"appendix-a", "thm-4-12"}
 
 
-def _cap_threads() -> None:
-    """MPSD_THREADS caps internal parallelism (BLAS/FFT worker pools)."""
-    cap = os.environ.get("MPSD_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpsd",
@@ -88,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Input loading helpers (imported lazily so MPSD_THREADS can act first)
+# Input loading helpers
 # ---------------------------------------------------------------------------
 
 
@@ -510,7 +501,6 @@ def _emit(args, document: dict) -> None:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -10,6 +10,7 @@ norm between the two cell measures h^n and (2*pi/L)^n.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -125,15 +126,21 @@ def field_from_function(spec: GridSpec, m: int, fn, vectorized: bool = False) ->
     return GridField(spec=spec, m=m, values=vals)
 
 
+@functools.lru_cache(maxsize=8)
 def _alternating_phase(spec: GridSpec) -> np.ndarray:
-    """(-1)^(j1+...+jn) over the grid, shaped to broadcast against field values."""
+    """(-1)^(j1+...+jn) over the grid, shaped to broadcast against field values.
+
+    Cached per grid and shared by every transform on it, hence read-only.
+    """
     ph = np.ones(1)
     signs = (-1.0) ** np.arange(spec.K)
     for ax in range(spec.n):
         shape = [1] * spec.n
         shape[ax] = spec.K
         ph = ph * signs.reshape(shape)
-    return ph.reshape(ph.shape + (1, 1))
+    ph = ph.reshape(ph.shape + (1, 1))
+    ph.flags.writeable = False
+    return ph
 
 
 def dft(f: GridField) -> GridField:
@@ -209,11 +216,6 @@ def triple_norm_inf(f: GridField) -> float:
 def sup_op_norm(f: GridField) -> float:
     """sup_x ||f(x)||_op over the grid."""
     return float(np.linalg.svd(f.flat(), compute_uv=False)[:, 0].max())
-
-
-def sup_max_norm(f: GridField) -> float:
-    """sup_x max-entry norm."""
-    return triple_norm_inf(f)
 
 
 # ---------------------------------------------------------------------------

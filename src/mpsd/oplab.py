@@ -23,10 +23,10 @@ from .grid import (
     idft,
     is_psd_valued,
     min_eig_scan,
-    sup_max_norm,
     sup_op_norm,
     triple_norm_1,
     triple_norm_2,
+    triple_norm_inf,
 )
 from .matcore import (
     InputError,
@@ -71,18 +71,32 @@ class MultiplierSymbol:
             if grid_values.shape != expected:
                 raise InputError(f"grid_values must have shape {expected}")
         self._grid_values = grid_values
+        # Evaluated values per grid. Held by the symbol, so they are freed with it.
+        self._cache: dict[GridSpec, np.ndarray] = {}
 
     def on_grid(self, spec: GridSpec) -> np.ndarray:
-        """Symbol values over the dual grid (FFT order), shape (K,)*n + (m, m)."""
+        """Symbol values over the dual grid (FFT order), shape (K,)*n + (m, m).
+
+        Evaluated once per grid and cached on the symbol; the returned array
+        is shared between calls and therefore read-only.
+        """
         if self._grid_values is not None:
             if spec != self._spec:
                 raise InputError("symbol was precomputed on a different grid")
             return self._grid_values
-        pts = spec.freq_points().reshape(-1, spec.n)
-        vals = np.asarray(self._evaluator(pts), dtype=np.complex128)
-        vals = vals.reshape((spec.K,) * spec.n + (self.m, self.m))
-        if not np.isfinite(vals).all():
-            raise InputError(f"symbol {self.label or ''} is unbounded on the dual grid")
+        vals = self._cache.get(spec)
+        if vals is None:
+            pts = spec.freq_points().reshape(-1, spec.n)
+            raw = np.asarray(self._evaluator(pts), dtype=np.complex128)
+            if not raw.flags.owndata:
+                # A view (a broadcast constant, a transpose) of memory the
+                # evaluator may still hold and change.
+                raw = raw.copy()
+            vals = raw.reshape((spec.K,) * spec.n + (self.m, self.m))
+            if not np.isfinite(vals).all():
+                raise InputError(f"symbol {self.label or ''} is unbounded on the dual grid")
+            vals.flags.writeable = False
+            self._cache[spec] = vals
         return vals
 
     def adjoint(self) -> "MultiplierSymbol":
@@ -723,12 +737,12 @@ def positivity_preserving_sup_bounds_check(
     m = F.m
     rep = Report(kind="positivity_preserving_sup_bounds", meta={})
     for i, f in enumerate(probes):
-        if sup_max_norm(f) > 1 + 1e-12:
+        if triple_norm_inf(f) > 1 + 1e-12:
             raise InputError(f"probe {i} must satisfy sup max-entry norm <= 1")
         spec = f.spec
         fnorm = sup_symbol_op_norm(F, spec)
         out = apply_multiplier(F, f)
-        value = sup_max_norm(out)
+        value = triple_norm_inf(out)
         psd = is_psd_valued(f, tol if tol is not None else 1e-9 * max(1.0, sup_op_norm(f)))
         if psd:
             rep.add(f"probe_{i}_psd_bound", value <= 2 * m**4 * fnorm + 1e-12, value=value,
@@ -812,10 +826,14 @@ def hadamard_derivative_check(
     if h <= 0 or h >= t:
         raise InputError("h must satisfy 0 < h < t")
 
+    def exp_times_F(x):
+        A = F(x)
+        return np.exp(t * A) * A
+
     analytic_fun = MatrixFunction(
         n=F.n,
         m=F.m,
-        evaluator=lambda x: np.exp(t * np.asarray(F.evaluator(x))) * np.asarray(F.evaluator(x)),
+        evaluator=exp_times_F,
         catalog_id="exp_H(tF) o F",
     )
     ana = apply_multiplier(symbol_from_function(analytic_fun), f)

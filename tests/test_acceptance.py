@@ -19,7 +19,8 @@ TIME_LIMITS = {
     "schoenberg_suite": 30.0,
     "appendix_a": 10.0,
     "right_mult_and_l2_norm": 60.0,
-    "l1_bounds": 60.0,
+    "l1_bounds": 20.0,
+    "trace_condition": 10.0,
 }
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report determinism, catalog listing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,36 @@ class TestTheoremCommands:
     def test_positivity_probe_passes_for_scalar_measure(self, tmp_path):
         assert run(["positivity-probe", "--measure", "gaussian", "--extent", "6.0",
                     "--cells", "64", "--K", "256", "--out", str(tmp_path / "p.json")]) == 0
+
+
+# Runs in a fresh interpreter: records the BLAS/OpenMP thread variables at the
+# moment numpy is first imported, which is when its pools read them.
+_THREAD_PROBE = """
+import json, os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+        return None
+sys.meta_path.insert(0, Probe())
+import mpsd
+print(json.dumps(seen))
+"""
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("env, expected", [
+        ({"MPSD_THREADS": "1"}, [["1", "1"]]),
+        # An explicit setting wins over MPSD_THREADS.
+        ({"MPSD_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, [["1", "2"]]),
+    ])
+    def test_cap_is_set_before_numpy_loads(self, env, expected):
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("MPSD_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                             "MKL_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env={**base, **env},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout) == expected

@@ -211,6 +211,42 @@ class TestConvolve:
         np.testing.assert_allclose(lhs.values, A @ rhs.values, atol=1e-13)
 
 
+def convolve_reference(mu, f):
+    """One np.roll and one (K,)*n + (m, m) @ (m, m) product per atom."""
+    spec = f.spec
+    out = np.zeros_like(f.values)
+    wrapped = 0
+    for xi, W in zip(mu.locations, mu.weights):
+        wrapped += bool(np.any(np.abs(xi) > spec.L / 2))
+        cells = np.rint(xi / spec.h).astype(int)
+        out += np.roll(f.values, shift=tuple(cells), axis=tuple(range(spec.n))) @ W
+    return out, wrapped
+
+
+class TestConvolveAgainstReference:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n, K, count", [(1, 64, 300), (2, 16, 40)])
+    def test_matches_per_atom_loop(self, n, K, m, count):
+        spec = GridSpec(n=n, L=8.0, K=K)
+        rng = np.random.default_rng(100 * n + m)
+        # Locations span twice the torus, so many atoms wrap; the last two
+        # are distinct points that snap to the same cell.
+        locs = list(rng.uniform(-spec.L, spec.L, size=(count, n)))
+        cell = spec.h * rng.integers(-K // 2, K // 2, size=n)
+        locs += [cell + 0.1 * spec.h, cell - 0.2 * spec.h]
+        mu = matrix_measure(n, m, [
+            (x, rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) for x in locs
+        ])
+        assert mu.atom_count == count + 2
+        f = random_field(spec, m, seed=n + 10 * m)
+        out = convolve(mu, f)
+        expected, wrapped = convolve_reference(mu, f)
+        assert wrapped > 0
+        assert out.meta == {"wrapped_atoms": wrapped}
+        err = np.abs(out.values - expected).max() / np.abs(expected).max()
+        assert err <= 1e-13
+
+
 class TestDualityPairing:
     def test_identity_field_traces_weight(self):
         spec = small_spec()

@@ -16,6 +16,7 @@ from mpsd.measures import (
     point_mass,
 )
 from mpsd.oplab import (
+    MultiplierSymbol,
     apply_multiplier,
     appendix_a_counterexample,
     appendix_a_diagonal_control,
@@ -153,6 +154,86 @@ class TestApplyMultiplier:
         mu = gaussian_measure(2, 4.0, 16, np.eye(2))
         probes = gaussian_probe_family(spec, 2, 3, seed=13, width_range=(0.8, 1.2))
         assert positivity_probe(symbol_from_measure(mu), probes, tol=1e-8).passed
+
+
+def counting_symbol(m=2):
+    """A symbol whose evaluator records each call; values depend on the points."""
+    calls = []
+
+    def ev(pts):
+        calls.append(len(pts))
+        return np.exp(-pts[:, :1, None] ** 2) * np.eye(m)
+
+    return MultiplierSymbol(m, evaluator=ev, label="counted"), calls
+
+
+class TestSymbolOnGrid:
+    def test_evaluated_once_per_grid(self):
+        spec = GridSpec(n=1, L=16.0, K=64)
+        sym, calls = counting_symbol()
+        first = sym.on_grid(spec)
+        f = rand_field(spec, 2, seed=40)
+        apply_multiplier(sym, f)
+        second = sym.on_grid(spec)
+        assert calls == [64]
+        assert second is first
+        np.testing.assert_array_equal(first[:, 0, 0], np.exp(-spec.axis_freqs() ** 2))
+
+    def test_cached_values_are_read_only(self):
+        spec = GridSpec(n=1, L=16.0, K=64)
+        sym, _ = counting_symbol()
+        vals = sym.on_grid(spec)
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0, 0, 0] = 1.0
+
+    def test_other_grid_gets_fresh_values(self):
+        spec = GridSpec(n=1, L=16.0, K=64)
+        other = GridSpec(n=2, L=8.0, K=16)
+        sym, calls = counting_symbol()
+        a = sym.on_grid(spec)
+        b = sym.on_grid(other)
+        assert calls == [64, 256]
+        assert b.shape == (16, 16, 2, 2)
+        np.testing.assert_array_equal(b[:, :, 0, 0],
+                                      np.exp(-other.freq_points()[..., 0] ** 2))
+        assert sym.on_grid(spec) is a and sym.on_grid(other) is b
+        assert calls == [64, 256]
+
+    def test_evaluator_view_is_copied(self):
+        # A view of storage the evaluator keeps is copied before caching, so a
+        # later change to that storage cannot reach the cached values.
+        spec = GridSpec(n=1, L=16.0, K=64)
+        store = np.ones((2 * spec.K, 1, 1), dtype=np.complex128)
+        sym = MultiplierSymbol(1, evaluator=lambda pts: store[: len(pts)])
+        vals = sym.on_grid(spec)
+        store[:] = 5.0
+        np.testing.assert_array_equal(vals, np.ones((spec.K, 1, 1)))
+        assert store.flags.writeable
+
+    def test_unbounded_symbol_raises_on_every_call(self):
+        spec = GridSpec(n=1, L=16.0, K=64)
+        calls = []
+
+        def ev(pts):
+            calls.append(1)
+            return 1.0 / pts[:, :1, None] * np.eye(2)  # infinite at frequency 0
+
+        sym = MultiplierSymbol(2, evaluator=ev, label="pole")
+        for attempt in (1, 2):
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(InputError, match="unbounded"):
+                sym.on_grid(spec)
+            assert len(calls) == attempt
+
+    def test_adjoint_of_cached_symbol(self):
+        spec = GridSpec(n=1, L=16.0, K=64)
+        A = np.array([[1.0, 2.0], [3j, 0.5]])
+        sym = constant_symbol(A)
+        sym.on_grid(spec)
+        adj = sym.adjoint().on_grid(spec)
+        np.testing.assert_array_equal(adj, np.broadcast_to(A.conj().T, adj.shape))
+        assert not adj.flags.writeable
 
 
 class TestL2MultiplierNorm:

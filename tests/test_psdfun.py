@@ -79,6 +79,24 @@ class TestGram:
         assert np.abs(H - H.conj().T).max() > 0.1
 
 
+class TestMatrixFunctionValidation:
+    """The error text names the function and the point, exactly as before the
+    name became lazy."""
+
+    def test_nan_value_message(self):
+        F = MatrixFunction(n=1, m=2, evaluator=lambda x: np.full((2, 2), np.nan),
+                           catalog_id="nan_fn")
+        with pytest.raises(InputError) as exc:
+            F([0.5])
+        assert str(exc.value) == "nan_fn([0.5]): entries must be finite (no NaN/Inf)"
+
+    def test_non_square_value_message(self):
+        F = MatrixFunction(n=2, m=2, evaluator=lambda x: np.ones((2, 3)))
+        with pytest.raises(InputError) as exc:
+            F([1.0, -2.5])
+        assert str(exc.value) == "function([ 1.  -2.5]): expected a square matrix, got shape (2, 3)"
+
+
 class TestPsdFunctionCheck:
     def test_identity_constant(self):
         F = make_function("constant", A=np.eye(2), n=1)
