@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,14 +31,22 @@ class ResolutionError(InputError):
         self.min_samples = min_samples
 
 
-def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a square complex128 array."""
+def as_cmatrix(a, name: str | Callable[[], str] = "matrix") -> np.ndarray:
+    """Validate and convert to a square complex128 array.
+
+    name may be a zero-argument callable; it is then called only to build
+    the error message, for names that are costly to format.
+    """
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"{name}: expected a square matrix, got shape {A.shape}")
+        raise InputError(f"{_name(name)}: expected a square matrix, got shape {A.shape}")
     if A.size and not np.isfinite(A).all():
-        raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
+        raise InputError(f"{_name(name)}: entries must be finite (no NaN/Inf)")
     return A
+
+
+def _name(name: str | Callable[[], str]) -> str:
+    return name() if callable(name) else name
 
 
 def op_norm(A: np.ndarray) -> float:

@@ -169,8 +169,9 @@ def convolve(mu: MatrixMeasure, f: GridField) -> GridField:
             f"measure (n={mu.n}, m={mu.m}) incompatible with field (n={spec.n}, m={f.m})"
         )
     axes = tuple(range(spec.n))
-    out = np.zeros_like(f.values)
-    rows = out.reshape(-1, f.m)  # view of out
+    # C order, whatever the layout of f.values, so that rows is a view of out.
+    out = np.zeros(f.values.shape, dtype=np.complex128)
+    rows = out.reshape(-1, f.m)
     wrapped = 0
     for xi, W in zip(mu.locations, mu.weights):
         if np.any(np.abs(xi) > spec.L / 2):

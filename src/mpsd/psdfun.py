@@ -47,10 +47,8 @@ class MatrixFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.n,):
             raise InputError(f"point has shape {x.shape}, expected ({self.n},)")
-        A = np.asarray(self.evaluator(x), dtype=np.complex128)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
-            # The name formats an array repr, so it is built only to raise.
-            as_cmatrix(A, name=f"{self.catalog_id or 'function'}({x})")
+        # The name formats an array repr, so it is built only to raise.
+        A = as_cmatrix(self.evaluator(x), name=lambda: f"{self.catalog_id or 'function'}({x})")
         if A.shape[0] != self.m:
             raise InputError(f"evaluator returned {A.shape[0]}x{A.shape[0]}, expected m={self.m}")
         return A

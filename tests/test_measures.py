@@ -224,9 +224,10 @@ def convolve_reference(mu, f):
 
 
 class TestConvolveAgainstReference:
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n, K, count", [(1, 64, 300), (2, 16, 40)])
-    def test_matches_per_atom_loop(self, n, K, m, count):
+    def test_matches_per_atom_loop(self, n, K, m, count, layout):
         spec = GridSpec(n=n, L=8.0, K=K)
         rng = np.random.default_rng(100 * n + m)
         # Locations span twice the torus, so many atoms wrap; the last two
@@ -239,6 +240,11 @@ class TestConvolveAgainstReference:
         ])
         assert mu.atom_count == count + 2
         f = random_field(spec, m, seed=n + 10 * m)
+        # Field values need not be C-ordered (GridField keeps the layout).
+        if layout == "fortran":
+            f = GridField(spec, m, values=np.asfortranarray(f.values))
+        elif layout == "transposed":
+            f = GridField(spec, m, values=f.values.swapaxes(-1, -2))
         out = convolve(mu, f)
         expected, wrapped = convolve_reference(mu, f)
         assert wrapped > 0

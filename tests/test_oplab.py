@@ -38,7 +38,7 @@ from mpsd.oplab import (
     theorem_4_12_witness,
     trace_positivity_check,
 )
-from mpsd.psdfun import make_function
+from mpsd.psdfun import MatrixFunction, make_function
 
 TWO_PI = 2.0 * np.pi
 
@@ -575,3 +575,19 @@ class TestHadamardDerivative:
         entry = rep.check("second_order")
         assert entry["passed"]
         assert entry["ratio"] == pytest.approx(4.0, rel=0.2)
+
+    def test_invalid_value_of_F_names_F_and_point(self):
+        # F is evaluated once per point, through its own checks, so a NaN
+        # value is reported against F rather than the derived symbol.
+        calls = []
+
+        def ev(x):
+            calls.append(float(x[0]))
+            return np.full((2, 2), np.nan) if x[0] > 1.0 else np.eye(2)
+
+        F = MatrixFunction(n=1, m=2, evaluator=ev, catalog_id="nan_above_one")
+        f = separable_gaussian_field(GridSpec(n=1, L=8.0, K=16), 2, 1.0, np.eye(2))
+        with pytest.raises(InputError, match=r"^nan_above_one\(\[.*\]\): entries must be finite"):
+            hadamard_derivative_check(F, t=1.0, f=f, h=1e-3)
+        assert calls[-1] > 1.0
+        assert len(calls) == len(set(calls))
