@@ -31,27 +31,41 @@ class ResolutionError(InputError):
         self.min_samples = min_samples
 
 
-def as_cmatrix(a, name: str | Callable[[], str] = "matrix") -> np.ndarray:
-    """Validate and convert to a square complex128 array.
+def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a square complex128 array."""
+    A = np.asarray(a, dtype=np.complex128)
+    if A.ndim != 2:
+        raise InputError(f"{name}: expected a square matrix, got shape {A.shape}")
+    return as_cmatrices(A, name)
 
-    name may be a zero-argument callable; it is then called only to build
-    the error message, for names that are costly to format.
+
+def as_cmatrices(a, name: str | Callable[[int], str] = "matrix") -> np.ndarray:
+    """Validate and convert a square matrix or a stack (..., k, k) of them to complex128.
+
+    name may be a callable taking the flat index of the first bad matrix; it
+    is called only to build the error message, for names costly to format.
     """
     A = np.asarray(a, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"{_name(name)}: expected a square matrix, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
-        raise InputError(f"{_name(name)}: entries must be finite (no NaN/Inf)")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise InputError(f"{_name(name, 0)}: expected a square matrix, got shape {A.shape[-2:]}")
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    if not finite.all():
+        raise InputError(f"{_name(name, int(np.argmin(finite)))}: entries must be finite (no NaN/Inf)")
     return A
 
 
-def _name(name: str | Callable[[], str]) -> str:
-    return name() if callable(name) else name
+def _name(name: str | Callable[[int], str], index: int) -> str:
+    return name(index) if callable(name) else name
 
 
 def op_norm(A: np.ndarray) -> float:
     """Operator (spectral) norm: largest singular value."""
     return float(np.linalg.norm(A, 2))
+
+
+def op_norms(A: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, shape (..., m, k) -> (...)."""
+    return np.linalg.norm(A, 2, axis=(-2, -1))
 
 
 def default_tol(A: np.ndarray) -> float:
@@ -200,16 +214,16 @@ def hadamard_product(A, B) -> np.ndarray:
     return A * B
 
 def hadamard_exp(A, t: float = 1.0) -> np.ndarray:
-    """Entrywise exponential exp(t * A_jk)."""
-    A = as_cmatrix(A)
+    """Entrywise exponential exp(t * A_jk) of a matrix or a stack (..., m, m)."""
+    A = as_cmatrices(A)
     if not np.isfinite(t):
         raise InputError("t must be finite")
     with np.errstate(over="ignore"):
         E = np.exp(t * A)
     bad = ~np.isfinite(E)
     if bad.any():
-        j, k = np.argwhere(bad)[0]
-        raise RangeError(f"entrywise exponential overflow at entry ({j},{k})")
+        entry = ",".join(str(i) for i in np.argwhere(bad)[0])
+        raise RangeError(f"entrywise exponential overflow at entry ({entry})")
     return E
 
 
@@ -343,7 +357,7 @@ def contraction_factor_check(M1, X, M2, tol: float | None = None) -> Report:
     if X.shape != (M1.shape[0], M2.shape[0]):
         raise InputError(f"X must be {M1.shape[0]}x{M2.shape[0]}, got {X.shape}")
     if tol is None:
-        tol = max(default_tol(M1), default_tol(M2), default_tol_rect(X))
+        tol = max(default_tol(M1), default_tol(M2), default_tol(X))
     for name, M in (("M1", M1), ("M2", M2)):
         v = psd_check(M, tol)
         if not v.verdict:
@@ -372,11 +386,6 @@ def contraction_factor_check(M1, X, M2, tol: float | None = None) -> Report:
         value=recon_err,
     )
     return rep
-
-
-def default_tol_rect(A: np.ndarray) -> float:
-    """Scale-aware tolerance for possibly rectangular arrays."""
-    return 1e-9 * max(1.0, float(np.linalg.norm(A, 2)) if A.size else 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .matcore import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     op_norm,
+    op_norms,
     psd_check,
 )
 from .grid import GridField
@@ -262,11 +263,12 @@ def bochner_forward_check(mu: MatrixMeasure, X: psdfun.PointSet, tol: float | No
     v = psdfun.psd_function_check(F, X, tol)
     rep.add("gram_psd", v.verdict, min_eig=v.min_eigenvalue)
 
-    sym = max(op_norm(F(-x) - F(x).conj().T) for x in X.points)
+    minus, plus = F.values(np.concatenate([-X.points, X.points])).reshape(2, X.N, mu.m, mu.m)
+    sym = float(op_norms(minus - plus.conj().swapaxes(-1, -2)).max())
     rep.add("symmetry", sym <= tol, defect=sym)
 
     bound = op_norm(F(np.zeros(mu.n)))
-    worst = max(op_norm(F(x)) for x in X.points)
+    worst = float(op_norms(plus).max())
     rep.add("bounded_by_value_at_zero", worst <= bound + tol, sup=worst, at_zero=bound)
     return rep
 

@@ -117,10 +117,7 @@ class MultiplierSymbol:
 
 
 def symbol_from_function(F: MatrixFunction) -> MultiplierSymbol:
-    def ev(pts):
-        return np.stack([F(p) for p in pts])
-
-    return MultiplierSymbol(F.m, evaluator=ev, label=F.catalog_id or "function")
+    return MultiplierSymbol(F.m, evaluator=F.values, label=F.catalog_id or "function")
 
 
 def symbol_from_measure(mu: MatrixMeasure) -> MultiplierSymbol:
@@ -826,8 +823,8 @@ def hadamard_derivative_check(
     if h <= 0 or h >= t:
         raise InputError("h must satisfy 0 < h < t")
 
-    def exp_times_F(x):
-        A = F(x)
+    def exp_times_F(X):
+        A = F.values(X)
         return np.exp(t * A) * A
 
     analytic_fun = MatrixFunction(

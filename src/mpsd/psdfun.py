@@ -18,12 +18,13 @@ from .matcore import (
     InputError,
     PsdVerdict,
     Report,
+    as_cmatrices,
     as_cmatrix,
     cpsd_check,
     default_tol,
-    difference_basis,
     hadamard_exp,
     op_norm,
+    op_norms,
     psd_check,
 )
 
@@ -35,7 +36,11 @@ PSD_CLAIMED = "psd_claimed"
 
 @dataclass(frozen=True)
 class MatrixFunction:
-    """An evaluatable map R^n -> C^{m x m} with declared symmetry metadata."""
+    """An evaluatable map R^n -> C^{m x m} with declared symmetry metadata.
+
+    The evaluator works on batches: points of shape (P, n) in, values of
+    shape (P, m, m) out.
+    """
 
     n: int
     m: int
@@ -43,15 +48,32 @@ class MatrixFunction:
     catalog_id: str | None = None
     properties: frozenset = frozenset()
 
+    def values(self, X) -> np.ndarray:
+        """F at each row of X, shape (P, m, m), validated once for the batch.
+
+        An error names the first point whose value is not a finite square
+        matrix.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise InputError(f"points have shape {X.shape}, expected (P, {self.n})")
+        label = self.catalog_id or "function"
+        V = np.asarray(self.evaluator(X), dtype=np.complex128)
+        if V.shape[:-2] in ((), (len(X),)):
+            # The name formats an array repr, so it is built only to raise.
+            V = as_cmatrices(V, name=lambda i: f"{label}({X[i]})")
+        if V.shape != (len(X), self.m, self.m):
+            raise InputError(
+                f"{label}: evaluator returned shape {V.shape}, expected ({len(X)}, {self.m}, {self.m})"
+            )
+        return V
+
     def __call__(self, x) -> np.ndarray:
+        """F at one point: the one-point form of values."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.n,):
             raise InputError(f"point has shape {x.shape}, expected ({self.n},)")
-        # The name formats an array repr, so it is built only to raise.
-        A = as_cmatrix(self.evaluator(x), name=lambda: f"{self.catalog_id or 'function'}({x})")
-        if A.shape[0] != self.m:
-            raise InputError(f"evaluator returned {A.shape[0]}x{A.shape[0]}, expected m={self.m}")
-        return A
+        return self.values(x[None])[0]
 
     def claims(self, prop: str) -> bool:
         return prop in self.properties
@@ -101,9 +123,13 @@ class BlockGram:
     N: int
     matrix: np.ndarray
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The blocks as an (N, N, m, m) view: blocks[p, q] = block(p, q)."""
+        return self.matrix.reshape(self.N, self.m, self.N, self.m).swapaxes(1, 2)
+
     def block(self, p: int, q: int) -> np.ndarray:
-        m = self.m
-        return self.matrix[p * m : (p + 1) * m, q * m : (q + 1) * m]
+        return self.blocks[p, q]
 
 
 def gram(F: MatrixFunction, X: PointSet) -> BlockGram:
@@ -111,30 +137,17 @@ def gram(F: MatrixFunction, X: PointSet) -> BlockGram:
     if F.n != X.n:
         raise InputError(f"dimension mismatch: function n={F.n}, points n={X.n}")
     N, m = X.N, F.m
-    G = np.empty((N * m, N * m), dtype=np.complex128)
-    cache: dict[tuple, np.ndarray] = {}
-    for p in range(N):
-        for q in range(N):
-            d = X.points[p] - X.points[q]
-            key = tuple(d)
-            block = cache.get(key)
-            if block is None:
-                block = F(d)
-                cache[key] = block
-            G[p * m : (p + 1) * m, q * m : (q + 1) * m] = block
-    return BlockGram(m=m, N=N, matrix=G)
+    D = X.points[:, None, :] - X.points[None, :, :]  # D[p, q] = x_p - x_q
+    blocks = F.values(D.reshape(N * N, X.n)).reshape(N, N, m, m)
+    return BlockGram(m=m, N=N, matrix=blocks.swapaxes(1, 2).reshape(N * m, N * m))
 
 
 def schoenberg_gram(F: MatrixFunction, X: PointSet) -> BlockGram:
     """Shifted Gram with (p,q) block F(x_p - x_q) - F(x_p) - F(x_q)*."""
-    base = gram(F, X)
-    m, N = base.m, base.N
-    vals = [F(x) for x in X.points]
-    G = base.matrix.copy()
-    for p in range(N):
-        for q in range(N):
-            G[p * m : (p + 1) * m, q * m : (q + 1) * m] -= vals[p] + vals[q].conj().T
-    return BlockGram(m=m, N=N, matrix=G)
+    G, vals = gram(F, X), F.values(X.points)
+    # Indexed (p, i, q, j) like the Gram matrix: F(x_p)_ij + conj(F(x_q)_ji).
+    shift = vals[:, :, None, :] + vals.conj().transpose(2, 0, 1)[None]
+    return BlockGram(m=G.m, N=G.N, matrix=G.matrix - shift.reshape(G.matrix.shape))
 
 
 def psd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None) -> PsdVerdict:
@@ -142,19 +155,11 @@ def psd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None)
     return psd_check(gram(F, X).matrix, tol)
 
 
-def _symmetry_defect(F: MatrixFunction, X: PointSet) -> float:
-    """max over sampled differences x of ||F(-x) - F(x)*||_op."""
-    worst = 0.0
-    seen = set()
-    for p in range(X.N):
-        for q in range(X.N):
-            d = X.points[p] - X.points[q]
-            key = tuple(d)
-            if key in seen:
-                continue
-            seen.add(key)
-            worst = max(worst, op_norm(F(-d) - F(d).conj().T))
-    return worst
+def _symmetry_defect(G: BlockGram) -> float:
+    """max over sampled differences x of ||F(-x) - F(x)*||_op, from the Gram of F:
+    F(-(x_p - x_q)) is block (q, p)."""
+    B = G.blocks
+    return float(op_norms(B.swapaxes(0, 1) - B.conj().swapaxes(-1, -2)).max())
 
 
 def cpsd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None) -> Report:
@@ -164,32 +169,20 @@ def cpsd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None
     differences, and (beta) the Gram quadratic form restricted to the single
     linear constraint sum_{p,j} c_{p,j} = 0 on C^{mN} is nonnegative.
     """
-    G = gram(F, X).matrix
+    G = gram(F, X)
     if tol is None:
-        tol = default_tol(G)
-    defect = _symmetry_defect(F, X)
-    symmetric = defect <= tol
-
-    mN = G.shape[0]
-    H = (G + G.conj().T) / 2
-    if mN == 1:
-        min_eig, witness = 0.0, np.ones(1, dtype=np.complex128)
-    else:
-        B = difference_basis(mN)
-        R = B.conj().T @ H @ B
-        w, V = np.linalg.eigh((R + R.conj().T) / 2)
-        min_eig = float(w[0])
-        witness = B @ V[:, 0]
-        witness = witness / np.linalg.norm(witness)
-    constrained_ok = min_eig >= -tol
+        tol = default_tol(G.matrix)
+    defect = _symmetry_defect(G)
+    # The quadratic form only sees the Hermitian part of the Gram.
+    v = cpsd_check((G.matrix + G.matrix.conj().T) / 2, tol)
 
     rep = Report(kind="cpsd_function_check", meta={"tol": tol, "N": X.N, "m": F.m})
-    rep.add("symmetry", symmetric, defect=defect)
+    rep.add("symmetry", defect <= tol, defect=defect)
     rep.add(
         "constrained_psd",
-        constrained_ok,
-        min_eig=min_eig,
-        witness=witness,
+        v.verdict,
+        min_eig=v.min_eigenvalue,
+        witness=v.witness,
         constraint="sum of all mN coordinates is zero",
     )
     return rep
@@ -214,10 +207,7 @@ def weak_cpsd_check(
             raise InputError(f"direction {i} has shape {f.shape}, expected ({F.m},)")
         if abs(np.linalg.norm(f) - 1.0) > 1e-8:
             raise InputError(f"direction {i} must be unit-norm")
-        S = np.empty((X.N, X.N), dtype=np.complex128)
-        for p in range(X.N):
-            for q in range(X.N):
-                S[p, q] = f.conj() @ G.block(p, q) @ f
+        S = (f.conj()[None, None, None, :] @ G.blocks @ f[:, None])[..., 0, 0]
         herm_defect = op_norm((S - S.conj().T) / 2)
         if herm_defect > tol:
             rep.add(f"direction_{i}", False, defect=herm_defect, reason="non-Hermitian scalar Gram")
@@ -239,7 +229,7 @@ def hadamard_exp_function(F: MatrixFunction, t: float) -> MatrixFunction:
     return MatrixFunction(
         n=F.n,
         m=F.m,
-        evaluator=lambda x: hadamard_exp(F.evaluator(x), t),
+        evaluator=lambda X: hadamard_exp(F.values(X), t),
         catalog_id=f"exp_H({t:g}*{F.catalog_id or 'F'})",
         properties=frozenset(props),
     )
@@ -307,20 +297,18 @@ def growth_bound_estimate(
         u /= max(np.linalg.norm(u), 1e-300)
         return r * u
 
-    c_prime = op_norm(F(np.zeros(n)))
-    for _ in range(256):
-        r = 2.0 * rng.uniform() ** (1.0 / n)
-        c_prime = max(c_prime, op_norm(F(sphere_sample(r))))
-    for _ in range(64):
-        c_prime = max(c_prime, op_norm(F(sphere_sample(2.0))))
+    local = [np.zeros(n)]
+    local += [sphere_sample(2.0 * rng.uniform() ** (1.0 / n)) for _ in range(256)]
+    local += [sphere_sample(2.0) for _ in range(64)]
+    c_prime = float(op_norms(F.values(np.array(local))).max())
 
+    far = [sphere_sample(float(r)) for r in radii for _ in range(samples_per_radius)]
+    far = np.reshape(far, (-1, n))
+    ratios = op_norms(F.values(far)) / (1.0 + (far[:, None, :] @ far[:, :, None])[:, 0, 0])
     ratio_sup, worst_x = 0.0, np.zeros(n)
-    for r in radii:
-        for _ in range(samples_per_radius):
-            x = sphere_sample(float(r))
-            ratio = op_norm(F(x)) / (1.0 + float(x @ x))
-            if ratio > ratio_sup:
-                ratio_sup, worst_x = ratio, x
+    if ratios.max(initial=0.0) > 0.0:
+        i = int(np.argmax(ratios))
+        ratio_sup, worst_x = float(ratios[i]), far[i]
     rep = Report(
         kind="growth_bound_estimate",
         meta={"seed": seed, "radii": [float(r) for r in radii]},
@@ -351,24 +339,23 @@ def lemma_4_13_check(F: MatrixFunction, pairs, tol: float | None = None) -> Repo
     if tol is None:
         tol = default_tol(F0)
     rep = Report(kind="lemma_4_13_check", meta={"tol": tol, "pairs": len(pairs)})
-    worst = {"shifted_nonneg": 0.0, "re_bound": 0.0, "cross_bound": 0.0, "subadditive": 0.0}
-    for x, y in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        Fx, Fy = F(x), F(y)
-        nx, ny = op_norm(Fx), op_norm(Fy)
-        re_x = (Fx + Fx.conj().T) / 2
+    x, y = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, F.n).swapaxes(0, 1)
+    Fx, Fy, Fdiff, Fsum = F.values(np.concatenate([x, y, x - y, x + y])).reshape(4, -1, F.m, F.m)
 
-        v = psd_check(F0 - 2 * re_x, tol)
-        worst["shifted_nonneg"] = min(worst["shifted_nonneg"], v.min_eigenvalue)
-        worst["re_bound"] = max(worst["re_bound"], op_norm(F0 - 2 * re_x) - 2 * nx)
-        worst["cross_bound"] = max(
-            worst["cross_bound"],
-            op_norm(F(x - y) - Fx - Fy.conj().T) - 2 * np.sqrt(nx) * np.sqrt(ny),
-        )
-        worst["subadditive"] = max(
-            worst["subadditive"], np.sqrt(op_norm(F(x + y))) - np.sqrt(nx) - np.sqrt(ny)
-        )
+    def adjoint(A):
+        return A.conj().swapaxes(-1, -2)
+
+    nx, ny = op_norms(Fx), op_norms(Fy)
+    shifted = F0 - 2 * ((Fx + adjoint(Fx)) / 2)
+    min_eig = np.linalg.eigh((shifted + adjoint(shifted)) / 2)[0][:, 0]
+    worst = {
+        "shifted_nonneg": min_eig.min(initial=0.0),
+        "re_bound": (op_norms(shifted) - 2 * nx).max(initial=0.0),
+        "cross_bound": (op_norms(Fdiff - Fx - adjoint(Fy)) - 2 * np.sqrt(nx) * np.sqrt(ny)).max(
+            initial=0.0
+        ),
+        "subadditive": (np.sqrt(op_norms(Fsum)) - np.sqrt(nx) - np.sqrt(ny)).max(initial=0.0),
+    }
     rep.add("shifted_nonneg", worst["shifted_nonneg"] >= -tol, worst_min_eig=worst["shifted_nonneg"])
     rep.add("re_bound", worst["re_bound"] <= tol, worst_excess=worst["re_bound"])
     rep.add("cross_bound", worst["cross_bound"] <= tol, worst_excess=worst["cross_bound"])
@@ -402,7 +389,7 @@ def _example_2_13(n: int = 1) -> MatrixFunction:
     return MatrixFunction(
         n=n,
         m=2,
-        evaluator=lambda x: A,
+        evaluator=lambda X: np.broadcast_to(A, (len(X), 2, 2)),
         catalog_id="example_2_13",
         properties=frozenset({HERMITIAN_SYMMETRIC}),
     )
@@ -415,7 +402,7 @@ def _remark_4_5b(s: float = 1.0) -> MatrixFunction:
     return MatrixFunction(
         n=1,
         m=2,
-        evaluator=lambda x: 1j * float(x[0]) * S,
+        evaluator=lambda X: (1j * X[:, 0])[:, None, None] * S,
         catalog_id="remark_4_5b",
         properties=frozenset({HERMITIAN_SYMMETRIC}),
     )
@@ -427,8 +414,10 @@ def _example_4_17_i(a: float, b: float, c: float, y0) -> MatrixFunction:
         raise InputError("requires a, b, c > 0 with a*c >= b^2")
     L = np.log(np.array([[a, b], [b, c]], dtype=np.complex128))
 
-    def ev(x):
-        return -1j * float(x @ y0) * np.ones((2, 2)) + L
+    def ev(X):
+        # Stacked 1 x n products keep each x . y0 bit-identical to a per-point x @ y0.
+        drift = -1j * (X[:, None, :] @ y0)[:, 0]
+        return drift[:, None, None] * np.ones((2, 2)) + L
 
     return MatrixFunction(
         n=y0.shape[0],
@@ -465,9 +454,13 @@ def _example_4_17_ii(generator: dict, m: int, n: int | None = None) -> MatrixFun
         raise InputError("quadratic coefficient must be PSD")
     H = np.ones((m, m), dtype=np.complex128)
 
-    def ev(x):
-        g0 = alpha + 1j * float(beta @ x) - float(x @ (A @ x))
-        return g0 * H
+    def ev(X):
+        # Stacked 1 x n products keep each value bit-identical to per-point
+        # beta @ x and x @ (A @ x); X @ beta or an einsum round differently.
+        lin = (X[:, None, :] @ beta)[:, 0]
+        quad = (X[:, None, :] @ (A @ X[:, :, None]))[:, 0, 0]
+        g0 = alpha + 1j * lin - quad
+        return g0[:, None, None] * H
 
     return MatrixFunction(
         n=n,
@@ -488,7 +481,7 @@ def _constant(A, n: int = 1) -> MatrixFunction:
     return MatrixFunction(
         n=n,
         m=A.shape[0],
-        evaluator=lambda x: A,
+        evaluator=lambda X: np.broadcast_to(A, (len(X),) + A.shape),
         catalog_id="constant",
         properties=frozenset(props),
     )
@@ -500,7 +493,7 @@ def _bochner(mu) -> MatrixFunction:
     return MatrixFunction(
         n=mu.n,
         m=mu.m,
-        evaluator=lambda x: mu.fourier(x),
+        evaluator=mu.fourier,
         catalog_id="bochner",
         properties=frozenset(props),
     )
@@ -577,32 +570,33 @@ class DefaultCase:
 
     label: str
     function: MatrixFunction
-    cpsd: bool
     f0_nonpositive: bool
+
+    @property
+    def cpsd(self) -> bool:
+        """Whether the function is conditionally PSD, as its properties declare."""
+        return self.function.claims(CPSD_CLAIMED)
 
 
 def default_cases() -> list[DefaultCase]:
     """The standard battery used by the verification suite (m <= 4, n <= 3)."""
     ones_m2 = np.ones((2, 2))
     return [
-        DefaultCase("example_2_13", make_function("example_2_13"), cpsd=False, f0_nonpositive=True),
-        DefaultCase("remark_4_5b(s=1)", make_function("remark_4_5b", s=1.0), cpsd=False, f0_nonpositive=True),
+        DefaultCase("example_2_13", make_function("example_2_13"), f0_nonpositive=True),
+        DefaultCase("remark_4_5b(s=1)", make_function("remark_4_5b", s=1.0), f0_nonpositive=True),
         DefaultCase(
             "example_4_17_i(2,1,2)",
             make_function("example_4_17_i", a=2.0, b=1.0, c=2.0, y0=[1.0]),
-            cpsd=True,
             f0_nonpositive=False,
         ),
         DefaultCase(
             "example_4_17_i(0.5,0.5,0.5)_n2",
             make_function("example_4_17_i", a=0.5, b=0.5, c=0.5, y0=[1.0, -0.5]),
-            cpsd=True,
             f0_nonpositive=True,
         ),
         DefaultCase(
             "example_4_17_ii(quadratic)_m3",
             make_function("example_4_17_ii", generator={"quadratic": np.eye(1).tolist()}, m=3),
-            cpsd=True,
             f0_nonpositive=True,
         ),
         DefaultCase(
@@ -616,19 +610,12 @@ def default_cases() -> list[DefaultCase]:
                 },
                 m=4,
             ),
-            cpsd=True,
             f0_nonpositive=True,
         ),
-        DefaultCase(
-            "constant(-ones)",
-            make_function("constant", A=-ones_m2, n=1),
-            cpsd=True,
-            f0_nonpositive=True,
-        ),
+        DefaultCase("constant(-ones)", make_function("constant", A=-ones_m2, n=1), f0_nonpositive=True),
         DefaultCase(
             "constant(ones_3x3)_n2",
             make_function("constant", A=np.ones((3, 3)), n=2),
-            cpsd=True,
             f0_nonpositive=False,
         ),
     ]

@@ -134,6 +134,25 @@ class TestHadamard:
         with pytest.raises(RangeError, match=r"\(0,1\)"):
             hadamard_exp(np.array([[0.0, 1000.0], [0.0, 0.0]]))
 
+    def test_exp_of_stack_is_entrywise(self):
+        A = np.stack([np.zeros((2, 2)), np.diag([LOG_HALF, LOG_HALF])])
+        E = hadamard_exp(A, 2.0)
+        assert E.shape == (2, 2, 2)
+        for i in range(2):
+            np.testing.assert_array_equal(E[i], hadamard_exp(A[i], 2.0))
+
+    def test_exp_overflow_in_stack_names_matrix_and_entry(self):
+        A = np.zeros((3, 2, 2))
+        A[2, 1, 0] = 1000.0
+        with pytest.raises(RangeError, match=r"^entrywise exponential overflow at entry \(2,1,0\)$"):
+            hadamard_exp(A)
+
+    def test_exp_of_stack_rejects_non_finite_matrix(self):
+        A = np.zeros((3, 2, 2))
+        A[1, 0, 0] = np.nan
+        with pytest.raises(InputError, match="entries must be finite"):
+            hadamard_exp(A)
+
     def test_exponent_law(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -225,6 +244,12 @@ class TestContractionFactor:
             assert rep.check("block_psd")["verdict"]
             assert rep.check("contraction_norm")["value"] <= 1 + 1e-8
             assert rep.passed
+
+    def test_rectangular_block_sets_the_default_tol(self):
+        # ||X||_op = 30 exceeds both corners' norms, so it sets the tolerance.
+        X = 5.0 * np.ones((2, 3)) * np.sqrt(2.0 * 3.0)
+        rep = contraction_factor_check(np.eye(2), X, np.eye(3))
+        assert rep.meta["tol"] == pytest.approx(30e-9, rel=1e-12)
 
     def test_non_psd_corner_rejected(self):
         with pytest.raises(InputError):

@@ -581,13 +581,18 @@ class TestHadamardDerivative:
         # value is reported against F rather than the derived symbol.
         calls = []
 
-        def ev(x):
-            calls.append(float(x[0]))
-            return np.full((2, 2), np.nan) if x[0] > 1.0 else np.eye(2)
+        def ev(X):
+            calls.append(X[:, 0].copy())
+            V = np.broadcast_to(np.eye(2, dtype=complex), (len(X), 2, 2)).copy()
+            V[X[:, 0] > 1.0] = np.nan
+            return V
 
         F = MatrixFunction(n=1, m=2, evaluator=ev, catalog_id="nan_above_one")
         f = separable_gaussian_field(GridSpec(n=1, L=8.0, K=16), 2, 1.0, np.eye(2))
-        with pytest.raises(InputError, match=r"^nan_above_one\(\[.*\]\): entries must be finite"):
+        with pytest.raises(InputError, match=r"^nan_above_one\(\[.*\]\): entries must be finite") as exc:
             hadamard_derivative_check(F, t=1.0, f=f, h=1e-3)
-        assert calls[-1] > 1.0
-        assert len(calls) == len(set(calls))
+        named = float(str(exc.value).split("[")[1].split("]")[0])
+        assert named > 1.0
+        assert calls[-1].max() > 1.0
+        points = np.concatenate(calls)
+        assert len(points) == len(set(points.tolist()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpsd import measures
-from mpsd.matcore import InputError, op_norm, psd_check
+from mpsd.matcore import InputError, RangeError, op_norm, psd_check
 from mpsd.psdfun import (
     CPSD_CLAIMED,
     MatrixFunction,
@@ -74,7 +74,9 @@ class TestGram:
         G = gram(sym, X).matrix
         assert np.abs(G - G.conj().T).max() < 1e-12
         M = np.array([[1.0, 2.0], [0.0, 1.0]])  # e^{ix} M breaks the symmetry
-        asym = MatrixFunction(n=1, m=2, evaluator=lambda x: np.exp(1j * x[0]) * M)
+        asym = MatrixFunction(
+            n=1, m=2, evaluator=lambda X: np.exp(1j * X[:, 0])[:, None, None] * M
+        )
         H = gram(asym, X).matrix
         assert np.abs(H - H.conj().T).max() > 0.1
 
@@ -95,6 +97,61 @@ class TestMatrixFunctionValidation:
         with pytest.raises(InputError) as exc:
             F([1.0, -2.5])
         assert str(exc.value) == "function([ 1.  -2.5]): expected a square matrix, got shape (2, 3)"
+
+
+class TestBatchedValues:
+    """F.values maps points (P, n) to values (P, m, m), checked once per batch.
+    tests/test_properties.py checks it against the one-point form F(x)."""
+
+    def test_first_bad_point_is_named(self):
+        def ev(X):
+            V = np.zeros((len(X), 2, 2))
+            V[X[:, 0] > 1.0] = np.inf
+            return V
+
+        F = MatrixFunction(n=1, m=2, evaluator=ev, catalog_id="inf_fn")
+        with pytest.raises(InputError) as exc:
+            F.values(np.array([[0.0], [0.5], [1.5], [2.5]]))
+        assert str(exc.value) == "inf_fn([1.5]): entries must be finite (no NaN/Inf)"
+
+    def test_wrong_batch_length_rejected(self):
+        F = MatrixFunction(n=1, m=2, evaluator=lambda X: np.zeros((len(X) + 1, 2, 2)),
+                           catalog_id="long")
+        with pytest.raises(InputError, match=r"^long: evaluator returned shape \(4, 2, 2\), expected \(3, 2, 2\)$"):
+            F.values(np.zeros((3, 1)))
+
+    def test_per_point_evaluator_rejected(self):
+        # A single matrix for a batch of points is not silently repeated.
+        F = MatrixFunction(n=1, m=2, evaluator=lambda X: np.eye(2))
+        with pytest.raises(InputError, match=r"expected \(25, 2, 2\)"):
+            gram(F, random_point_set(1, 5, 1.0, seed=1))
+
+    def test_wrong_m_rejected(self):
+        F = MatrixFunction(n=1, m=3, evaluator=lambda X: np.zeros((len(X), 2, 2)))
+        with pytest.raises(InputError, match=r"expected \(2, 3, 3\)"):
+            F.values(np.zeros((2, 1)))
+
+    def test_points_shape_checked(self):
+        F = make_function("example_2_13", n=2)
+        with pytest.raises(InputError, match=r"points have shape \(3,\), expected \(P, 2\)"):
+            F.values(np.zeros(3))
+
+    def test_exp_function_reports_nan_of_F(self):
+        # The exponential evaluates F through its own checks, so the error
+        # names F and the point, not an anonymous matrix.
+        F = MatrixFunction(n=1, m=2, evaluator=lambda X: np.full((len(X), 2, 2), np.nan),
+                           catalog_id="nan_fn")
+        with pytest.raises(InputError) as exc:
+            hadamard_exp_function(F, 1.0)([0.5])
+        assert str(exc.value) == "nan_fn([0.5]): entries must be finite (no NaN/Inf)"
+
+    def test_exp_function_overflow_raises_range_error(self):
+        # remark_4_5b has F(x)_{21} = s x, so exp_H(F) overflows at x = 800 only.
+        E = hadamard_exp_function(make_function("remark_4_5b", s=1.0), 1.0)
+        with pytest.raises(RangeError, match=r"overflow at entry \(1,1,0\)"):
+            E.values(np.array([[0.0], [800.0]]))
+        with pytest.raises(RangeError):
+            E([800.0])
 
 
 class TestPsdFunctionCheck:
