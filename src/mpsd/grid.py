@@ -113,17 +113,10 @@ def constant_field(spec: GridSpec, A) -> GridField:
     return GridField(spec=spec, m=A.shape[0], values=vals)
 
 
-def field_from_function(spec: GridSpec, m: int, fn, vectorized: bool = False) -> GridField:
-    """Sample a pointwise map R^n -> C^{m x m} on the grid."""
-    pts = spec.points()
-    if vectorized:
-        vals = np.asarray(fn(pts.reshape(-1, spec.n)), dtype=np.complex128)
-        vals = vals.reshape((spec.K,) * spec.n + (m, m))
-    else:
-        flat_pts = pts.reshape(-1, spec.n)
-        vals = np.stack([np.asarray(fn(p), dtype=np.complex128) for p in flat_pts])
-        vals = vals.reshape((spec.K,) * spec.n + (m, m))
-    return GridField(spec=spec, m=m, values=vals)
+def field_from_function(spec: GridSpec, m: int, fn) -> GridField:
+    """Sample a map R^n -> C^{m x m} on the grid; fn maps points (P, n) to values (P, m, m)."""
+    vals = np.asarray(fn(spec.points().reshape(-1, spec.n)), dtype=np.complex128)
+    return GridField(spec=spec, m=m, values=vals.reshape((spec.K,) * spec.n + (m, m)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -68,6 +68,11 @@ def op_norms(A: np.ndarray) -> np.ndarray:
     return np.linalg.norm(A, 2, axis=(-2, -1))
 
 
+def min_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """psd_check's min_eigenvalue of each matrix in a stack (..., m, m), in one call."""
+    return np.linalg.eigh((A + A.conj().swapaxes(-1, -2)) / 2)[0][..., 0]
+
+
 def default_tol(A: np.ndarray) -> float:
     """Scale-aware eigenvalue tolerance: 1e-9 * max(1, ||A||_op)."""
     return 1e-9 * max(1.0, op_norm(A))
@@ -215,7 +220,7 @@ def hadamard_product(A, B) -> np.ndarray:
 
 def hadamard_exp(A, t: float = 1.0) -> np.ndarray:
     """Entrywise exponential exp(t * A_jk) of a matrix or a stack (..., m, m)."""
-    A = as_cmatrices(A)
+    A = as_cmatrices(A)  # also for checked values: exp(-inf) would pass as a finite 0
     if not np.isfinite(t):
         raise InputError("t must be finite")
     with np.errstate(over="ignore"):

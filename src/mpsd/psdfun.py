@@ -23,6 +23,7 @@ from .matcore import (
     cpsd_check,
     default_tol,
     hadamard_exp,
+    min_eigenvalues,
     op_norm,
     op_norms,
     psd_check,
@@ -339,21 +340,24 @@ def lemma_4_13_check(F: MatrixFunction, pairs, tol: float | None = None) -> Repo
     if tol is None:
         tol = default_tol(F0)
     rep = Report(kind="lemma_4_13_check", meta={"tol": tol, "pairs": len(pairs)})
-    x, y = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, F.n).swapaxes(0, 1)
+    expected = (len(pairs), 2, F.n)
+    try:
+        P = np.asarray(pairs, dtype=float)
+    except ValueError as exc:  # ragged or non-numeric pairs
+        raise InputError(f"pairs do not form one numeric array, expected shape {expected}: {exc}") from None
+    # Points of R^1 may be given as scalars.
+    if pairs and P.shape != expected and not (F.n == 1 and P.shape == expected[:2]):
+        raise InputError(f"pairs have shape {P.shape}, expected shape {expected}")
+    x, y = P.reshape(expected).swapaxes(0, 1)
     Fx, Fy, Fdiff, Fsum = F.values(np.concatenate([x, y, x - y, x + y])).reshape(4, -1, F.m, F.m)
 
-    def adjoint(A):
-        return A.conj().swapaxes(-1, -2)
-
     nx, ny = op_norms(Fx), op_norms(Fy)
-    shifted = F0 - 2 * ((Fx + adjoint(Fx)) / 2)
-    min_eig = np.linalg.eigh((shifted + adjoint(shifted)) / 2)[0][:, 0]
+    shifted = F0 - 2 * ((Fx + Fx.conj().swapaxes(-1, -2)) / 2)
+    cross = op_norms(Fdiff - Fx - Fy.conj().swapaxes(-1, -2))
     worst = {
-        "shifted_nonneg": min_eig.min(initial=0.0),
+        "shifted_nonneg": min_eigenvalues(shifted).min(initial=0.0),
         "re_bound": (op_norms(shifted) - 2 * nx).max(initial=0.0),
-        "cross_bound": (op_norms(Fdiff - Fx - adjoint(Fy)) - 2 * np.sqrt(nx) * np.sqrt(ny)).max(
-            initial=0.0
-        ),
+        "cross_bound": (cross - 2 * np.sqrt(nx) * np.sqrt(ny)).max(initial=0.0),
         "subadditive": (np.sqrt(op_norms(Fsum)) - np.sqrt(nx) - np.sqrt(ny)).max(initial=0.0),
     }
     rep.add("shifted_nonneg", worst["shifted_nonneg"] >= -tol, worst_min_eig=worst["shifted_nonneg"])

@@ -212,6 +212,6 @@ class TestTranslateAndIO:
 class TestFieldFromFunction:
     def test_matches_pointwise_evaluation(self):
         spec = GridSpec(n=1, L=8.0, K=32)
-        f = field_from_function(spec, 1, lambda p: np.array([[np.cos(p[0])]], dtype=complex))
+        f = field_from_function(spec, 1, lambda P: np.cos(P[:, 0])[:, None, None] + 0j)
         x = spec.axis_points()
         np.testing.assert_allclose(f.values[:, 0, 0], np.cos(x), atol=1e-15)

@@ -16,6 +16,7 @@ from mpsd.matcore import (
     matrix_from_json_dict,
     matrix_norm,
     matrix_to_json_dict,
+    min_eigenvalues,
     op_norm,
     psd_check,
 )
@@ -64,6 +65,13 @@ class TestPsdCheck:
             psd_check(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InputError):
             psd_check(np.ones((2, 3)))
+
+    def test_min_eigenvalues_of_stack_match_psd_check_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for m in (1, 2, 3, 5):
+            A = np.stack([rand_matrix(rng, m) for _ in range(6)])
+            expected = [psd_check(a).min_eigenvalue for a in A]
+            assert min_eigenvalues(A).tolist() == expected
 
 
 class TestCpsdCheck:
@@ -148,10 +156,12 @@ class TestHadamard:
             hadamard_exp(A)
 
     def test_exp_of_stack_rejects_non_finite_matrix(self):
-        A = np.zeros((3, 2, 2))
-        A[1, 0, 0] = np.nan
-        with pytest.raises(InputError, match="entries must be finite"):
-            hadamard_exp(A)
+        # exp(-inf) is a finite 0, so only the input check catches that entry.
+        for bad in (np.nan, -np.inf):
+            A = np.zeros((3, 2, 2))
+            A[1, 0, 0] = bad
+            with pytest.raises(InputError, match="entries must be finite"):
+                hadamard_exp(A)
 
     def test_exponent_law(self):
         rng = np.random.default_rng(2)

@@ -384,6 +384,20 @@ class TestLemma413:
         pairs = [(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)) for _ in range(50)]
         assert lemma_4_13_check(F, pairs, tol=1e-8).passed
 
+    def test_scalar_and_empty_pairs_accepted_in_one_dimension(self):
+        F = make_function("example_4_17_ii", generator={"quadratic": [[1.0]]}, m=2)
+        assert lemma_4_13_check(F, [(0.5, -1.0)]).passed
+        assert lemma_4_13_check(F, []).passed
+
+    def test_wrong_dimension_pair_rejected_with_expected_shape(self):
+        F = make_function("example_4_17_i", a=0.5, b=0.5, c=0.5, y0=[1.0, -0.5])
+        z2, z3 = np.zeros(2), np.zeros(3)
+        with pytest.raises(InputError, match=r"^pairs have shape \(2, 2, 3\), expected shape \(2, 2, 2\)$"):
+            lemma_4_13_check(F, [(z3, z3), (z3, z3)])
+        for ragged in ([(z2, z2), (z3, z3)], [(z2, z2), (z2, z3)]):
+            with pytest.raises(InputError, match=r"expected shape \(2, 2, 2\)"):
+                lemma_4_13_check(F, ragged)
+
 
 class TestCatalog:
     def test_unknown_id(self):
