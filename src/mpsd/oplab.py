@@ -51,26 +51,13 @@ _TWO_PI = 2.0 * np.pi
 class MultiplierSymbol:
     """A bounded symbol xi -> C^{m x m}, evaluatable on the dual grid.
 
-    Wraps either a vectorized evaluator over points of shape (P, n) or
-    precomputed dual-grid values for one specific grid.
+    Wraps a vectorized evaluator over points of shape (P, n).
     """
 
-    def __init__(self, m: int, evaluator=None, grid_values=None, spec: GridSpec | None = None,
-                 label: str = ""):
-        if (evaluator is None) == (grid_values is None):
-            raise InputError("provide exactly one of evaluator or grid_values")
+    def __init__(self, m: int, evaluator, label: str = ""):
         self.m = m
         self.label = label
         self._evaluator = evaluator
-        self._spec = spec
-        if grid_values is not None:
-            if spec is None:
-                raise InputError("grid_values requires the grid they were sampled on")
-            expected = (spec.K,) * spec.n + (m, m)
-            grid_values = np.asarray(grid_values, dtype=np.complex128)
-            if grid_values.shape != expected:
-                raise InputError(f"grid_values must have shape {expected}")
-        self._grid_values = grid_values
         # Evaluated values per grid. Held by the symbol, so they are freed with it.
         self._cache: dict[GridSpec, np.ndarray] = {}
 
@@ -80,10 +67,6 @@ class MultiplierSymbol:
         Evaluated once per grid and cached on the symbol; the returned array
         is shared between calls and therefore read-only.
         """
-        if self._grid_values is not None:
-            if spec != self._spec:
-                raise InputError("symbol was precomputed on a different grid")
-            return self._grid_values
         vals = self._cache.get(spec)
         if vals is None:
             pts = spec.freq_points().reshape(-1, spec.n)
@@ -101,13 +84,6 @@ class MultiplierSymbol:
 
     def adjoint(self) -> "MultiplierSymbol":
         """Pointwise conjugate transpose of the symbol."""
-        if self._grid_values is not None:
-            return MultiplierSymbol(
-                self.m,
-                grid_values=self._grid_values.conj().swapaxes(-1, -2),
-                spec=self._spec,
-                label=f"{self.label}*",
-            )
         ev = self._evaluator
         return MultiplierSymbol(
             self.m,

@@ -143,12 +143,16 @@ def gram(F: MatrixFunction, X: PointSet) -> BlockGram:
     return BlockGram(m=m, N=N, matrix=blocks.swapaxes(1, 2).reshape(N * m, N * m))
 
 
-def schoenberg_gram(F: MatrixFunction, X: PointSet) -> BlockGram:
-    """Shifted Gram with (p,q) block F(x_p - x_q) - F(x_p) - F(x_q)*."""
-    G, vals = gram(F, X), F.values(X.points)
+def _shifted(G: BlockGram, vals: np.ndarray) -> BlockGram:
+    """G with F(x_p) + F(x_q)* taken from each block (p,q), given vals[p] = F(x_p)."""
     # Indexed (p, i, q, j) like the Gram matrix: F(x_p)_ij + conj(F(x_q)_ji).
     shift = vals[:, :, None, :] + vals.conj().transpose(2, 0, 1)[None]
     return BlockGram(m=G.m, N=G.N, matrix=G.matrix - shift.reshape(G.matrix.shape))
+
+
+def schoenberg_gram(F: MatrixFunction, X: PointSet) -> BlockGram:
+    """Shifted Gram with (p,q) block F(x_p - x_q) - F(x_p) - F(x_q)*."""
+    return _shifted(gram(F, X), F.values(X.points))
 
 
 def psd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None) -> PsdVerdict:
@@ -171,13 +175,16 @@ def cpsd_function_check(F: MatrixFunction, X: PointSet, tol: float | None = None
     linear constraint sum_{p,j} c_{p,j} = 0 on C^{mN} is nonnegative.
     """
     G = gram(F, X)
-    if tol is None:
-        tol = default_tol(G.matrix)
+    return _cpsd_report(G, default_tol(G.matrix) if tol is None else tol)
+
+
+def _cpsd_report(G: BlockGram, tol: float) -> Report:
+    """cpsd_function_check on the Gram of F over X."""
     defect = _symmetry_defect(G)
     # The quadratic form only sees the Hermitian part of the Gram.
     v = cpsd_check((G.matrix + G.matrix.conj().T) / 2, tol)
 
-    rep = Report(kind="cpsd_function_check", meta={"tol": tol, "N": X.N, "m": F.m})
+    rep = Report(kind="cpsd_function_check", meta={"tol": tol, "N": G.N, "m": G.m})
     rep.add("symmetry", defect <= tol, defect=defect)
     rep.add(
         "constrained_psd",
@@ -250,18 +257,24 @@ def schoenberg_equivalence_report(
     in t_grid, (iii) when F(0) <= 0, positivity of the shifted Gram. The
     consistency flags record (i) <=> all-of-(ii) and (i) and F(0)<=0 => (iii);
     an inconsistency at tolerance is reported, never silently repaired.
+
+    F is sampled once, at the N^2 differences: the Gram of exp_H(tF) is
+    hadamard_exp of F's Gram, bit for bit, since the exponential is entrywise.
     """
+    G = gram(F, X)
     if tol is None:
-        tol = default_tol(gram(F, X).matrix)
+        tol = default_tol(G.matrix)
     rep = Report(kind="schoenberg_equivalence", meta={"tol": tol, "t_grid": list(t_grid)})
 
-    cpsd_rep = cpsd_function_check(F, X, tol)
+    cpsd_rep = _cpsd_report(G, tol)
     cond_i = cpsd_rep.passed
     rep.add("cpsd", True, verdict=cond_i, detail=cpsd_rep.checks)
 
     exp_verdicts = []
     for t in t_grid:
-        v = psd_function_check(hadamard_exp_function(F, t), X, tol)
+        if t < 0:
+            raise InputError("t must be nonnegative")
+        v = psd_check(hadamard_exp(G.matrix, t), tol)
         exp_verdicts.append(v.verdict)
         rep.add(f"exp_psd_t={t:g}", True, verdict=v.verdict, min_eig=v.min_eigenvalue)
     cond_ii = all(exp_verdicts)
@@ -269,7 +282,7 @@ def schoenberg_equivalence_report(
     f0_ok = f0_nonpositive(F, tol).verdict
     cond_iii = None
     if f0_ok:
-        v = psd_check(schoenberg_gram(F, X).matrix, tol)
+        v = psd_check(_shifted(G, F.values(X.points)).matrix, tol)
         cond_iii = v.verdict
         rep.add("shifted_gram_psd", True, verdict=v.verdict, min_eig=v.min_eigenvalue)
 

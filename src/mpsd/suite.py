@@ -41,10 +41,8 @@ from .psdfun import (
     default_cases,
     gram,
     growth_bound_estimate,
-    hadamard_exp_function,
     lemma_4_13_check,
     make_function,
-    psd_function_check,
     random_point_set,
     schoenberg_gram,
     weak_cpsd_check,
@@ -103,15 +101,17 @@ def criterion_schoenberg_suite(seed: int) -> Report:
         if case.cpsd:
             worst = np.inf
             for X in _rand_point_sets(F.n, 50, seed + 1000 * case_index):
+                G = gram(F, X).matrix
                 for t in T_GRID:
-                    v = psd_function_check(hadamard_exp_function(F, t), X, tol=1e-8)
+                    v = psd_check(hadamard_exp(G, t), tol=1e-8)
                     worst = min(worst, v.min_eigenvalue)
             rep.add(f"psd_exp[{case.label}]", worst >= -1e-8, worst_min_eig=worst)
         else:
             found = None
+            grams = [gram(F, X).matrix for X in _rand_point_sets(F.n, 10, seed + 1)]
             for t in T_GRID:
-                for i, X in enumerate(_rand_point_sets(F.n, 10, seed + 1)):
-                    v = psd_function_check(hadamard_exp_function(F, t), X, tol=1e-8)
+                for i, G in enumerate(grams):
+                    v = psd_check(hadamard_exp(G, t), tol=1e-8)
                     if not v.verdict:
                         found = {"t": t, "point_set": i, "min_eig": v.min_eigenvalue,
                                  "direction": v.witness}

@@ -95,11 +95,10 @@ class TestApplyMultiplier:
         rng = np.random.default_rng(6)
         Fv = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
         Gv = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
-        from mpsd.oplab import MultiplierSymbol
-
-        F = MultiplierSymbol(2, grid_values=Fv, spec=spec)
-        G = MultiplierSymbol(2, grid_values=Gv, spec=spec)
-        GF = MultiplierSymbol(2, grid_values=Gv @ Fv, spec=spec)
+        # Each evaluator ignores the points and returns its values in FFT order.
+        F = MultiplierSymbol(2, evaluator=lambda pts: Fv)
+        G = MultiplierSymbol(2, evaluator=lambda pts: Gv)
+        GF = MultiplierSymbol(2, evaluator=lambda pts: Gv @ Fv)
         lhs = apply_multiplier(F, apply_multiplier(G, f))
         rhs = apply_multiplier(GF, f)
         assert np.abs(lhs.values - rhs.values).max() < 1e-10
@@ -120,15 +119,6 @@ class TestApplyMultiplier:
         lhs = apply_multiplier(sym, translate(f, 7))
         rhs = translate(apply_multiplier(sym, f), 7)
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-12)
-
-    def test_symbol_grid_mismatch(self):
-        spec = GridSpec(n=1, L=16.0, K=64)
-        other = GridSpec(n=1, L=16.0, K=128)
-        from mpsd.oplab import MultiplierSymbol
-
-        sym = MultiplierSymbol(1, grid_values=np.ones((64, 1, 1), complex), spec=spec)
-        with pytest.raises(InputError):
-            apply_multiplier(sym, rand_field(other, 1, seed=11))
 
     def test_two_dimensional_multiplier_matches_convolution(self):
         from mpsd.measures import convolve, matrix_measure

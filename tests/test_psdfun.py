@@ -1,5 +1,7 @@
 """Matrix-valued function layer: Grams, positivity checks, Schoenberg machinery, catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,32 @@ class TestSchoenbergEquivalence:
         assert not rep.check("cpsd")["verdict"]
         assert not rep.check("exp_psd_t=1")["verdict"]
         assert rep.check("consistency_i_iff_ii")["passed"]
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(InputError, match="t must be nonnegative"):
+            schoenberg_equivalence_report(make_function("example_4_17_i"), two_points(), [1.0, -0.5])
+
+    @pytest.mark.parametrize(
+        "catalog_id, params, f0_nonpositive",
+        [
+            ("example_4_17_ii", {"generator": {"quadratic": [[1.0]]}, "m": 2}, True),
+            ("example_4_17_i", {}, False),
+        ],
+    )
+    def test_report_samples_F_once(self, catalog_id, params, f0_nonpositive):
+        F = make_function(catalog_id, **params)
+        seen = []
+
+        def counted(X):
+            seen.append(len(X))
+            return F.evaluator(X)
+
+        N = 6
+        X = random_point_set(1, N, 3.0, seed=11)
+        rep = schoenberg_equivalence_report(dataclasses.replace(F, evaluator=counted), X, self.T_GRID)
+        assert rep.meta["f0_nonpositive"] == f0_nonpositive
+        # The N^2 differences and F(0); the shifted Gram adds the N points.
+        assert sum(seen) == N * N + 1 + (N if f0_nonpositive else 0)
 
 
 class TestGrowthBound:
